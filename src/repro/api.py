@@ -40,6 +40,7 @@ import re
 import shutil
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -83,6 +84,59 @@ _CHECKPOINTS_KEPT = 2
 _IDEMPOTENCY_MISS = object()
 
 
+class _ReadWriteLock:
+    """Any number of concurrent readers, or one writer.
+
+    A waiting writer holds off new readers, so a steady stream of reads
+    cannot starve mutations.  Not reentrant: a thread must not take the
+    lock again while holding it.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writing = False
+        self._writers_waiting = 0
+
+    @contextmanager
+    def read(self):
+        with self._cond:
+            while self._writing or self._writers_waiting:
+                self._cond.wait()
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                if not self._readers:
+                    self._cond.notify_all()
+
+    @contextmanager
+    def write(self):
+        with self._cond:
+            self._writers_waiting += 1
+            while self._writing or self._readers:
+                self._cond.wait()
+            self._writers_waiting -= 1
+            self._writing = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writing = False
+                self._cond.notify_all()
+
+
+def _fsync_path(path: pathlib.Path) -> None:
+    """fsync one file or directory (a directory's fsync persists its entries)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class FairNN:
     """Declarative facade over the whole fair near-neighbor stack.
 
@@ -105,11 +159,14 @@ class FairNN:
         self._tables: Optional[LSHTables] = None
         self._dataset: Optional[Dataset] = None
         self._serving = False
-        # Makes a facade-level mutation (apply to the shared tables + notify
-        # every engine) atomic under concurrent callers — the HTTP serving
-        # surface mutates from handler threads.  Also serializes WAL appends
-        # with their applies, so the log order equals the apply order.
-        self._mutation_lock = threading.Lock()
+        # Queries (run, neighborhood) are readers; mutations and checkpoints
+        # are writers.  A writer makes a facade-level mutation (apply to the
+        # shared tables + notify every engine) atomic under concurrent
+        # callers — the HTTP serving surface mutates from handler threads —
+        # and keeps reads off tables and point slots while they change.
+        # Also serializes WAL appends with their applies, so the log order
+        # equals the apply order.
+        self._lock = _ReadWriteLock()
         self._wal: Optional[WriteAheadLog] = None
         self._data_dir: Optional[pathlib.Path] = None
         self._idempotency: "OrderedDict[str, Any]" = OrderedDict()
@@ -518,9 +575,13 @@ class FairNN:
         """Answer a batch of requests through one named sampler's engine.
 
         Responses carry the sampler's name, so multiplexed callers can route
-        answers without tracking which engine they asked.
+        answers without tracking which engine they asked.  Concurrent calls
+        run concurrently; they wait for an in-flight mutation or checkpoint
+        to finish, and hold the next one off until they are done.
         """
-        return self.engine(sampler).run(requests)
+        engine = self.engine(sampler)
+        with self._lock.read():
+            return engine.run(requests)
 
     def sample(
         self,
@@ -566,21 +627,23 @@ class FairNN:
         """
         self._check_built()
         target = self._samplers[self._resolve_name(sampler)]
-        dataset = target.dataset
-        if isinstance(self._tables, DynamicLSHTables):
-            # target.dataset is the table layer's live container (or, for a
-            # non-LSH sampler, a fit-time prefix of it): slot i of either is
-            # dataset slot i, so the liveness mask prefix lines up.
-            alive = np.asarray(self._tables.alive[: len(dataset)])
-            live = np.flatnonzero(alive)
-            if live.size == 0:
-                return live
-            values = target.measure.values_to_query([dataset[int(i)] for i in live], query)
+        with self._lock.read():
+            dataset = target.dataset
+            if isinstance(self._tables, DynamicLSHTables):
+                # target.dataset is the table layer's live container (or, for
+                # a non-LSH sampler, a fit-time prefix of it): slot i of
+                # either is dataset slot i, so the liveness mask prefix lines
+                # up.
+                alive = np.asarray(self._tables.alive[: len(dataset)])
+                live = np.flatnonzero(alive)
+                if live.size == 0:
+                    return live
+                values = target.measure.values_to_query([dataset[int(i)] for i in live], query)
+                mask = target.measure.within_mask(values, target.radius)
+                return live[mask]
+            values = target.measure.values_to_query(dataset, query)
             mask = target.measure.within_mask(values, target.radius)
-            return live[mask]
-        values = target.measure.values_to_query(dataset, query)
-        mask = target.measure.within_mask(values, target.radius)
-        return np.flatnonzero(mask)
+            return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------
     # Index mutation (serving, dynamic tables)
@@ -617,7 +680,7 @@ class FairNN:
         if not points:
             return []
         tables = self._require_dynamic()
-        with self._mutation_lock:
+        with self._lock.write():
             if idempotency_key is not None:
                 hit = self._idempotency_lookup(idempotency_key)
                 if hit is not _IDEMPOTENCY_MISS:
@@ -646,7 +709,7 @@ class FairNN:
         ``AlreadyDeletedError``.
         """
         tables = self._require_dynamic()
-        with self._mutation_lock:
+        with self._lock.write():
             if idempotency_key is not None:
                 hit = self._idempotency_lookup(idempotency_key)
                 if hit is not _IDEMPOTENCY_MISS:
@@ -847,13 +910,19 @@ class FairNN:
         under a valid name), deletes WAL segments that are now fully
         covered, and prunes all but the newest two checkpoints.  Returns
         the checkpoint path.
+
+        Unless the WAL's fsync policy is ``"off"``, every file of the
+        checkpoint, its directories and ``snapshots/`` itself are fsynced
+        before the WAL prefix is truncated: a power loss right after the
+        truncation must find the checkpoint that replaced those records on
+        disk.
         """
         self._check_built()
         if self._wal is None:
             raise InvalidParameterError(
                 "checkpoint() requires a durable facade (serve(data_dir=...) or recover)"
             )
-        with self._mutation_lock:
+        with self._lock.write():
             position = self._wal.next_seq
             snapshots_root = self._data_dir / "snapshots"
             snapshots_root.mkdir(parents=True, exist_ok=True)
@@ -864,9 +933,16 @@ class FairNN:
             save_engine(self.engine(self.primary), staging)
             with open(staging / "wal_position.json", "w", encoding="utf-8") as handle:
                 json.dump({"next_seq": position}, handle)
+            durable = self._wal.fsync != "off"
+            if durable:
+                for path in sorted(staging.rglob("*")):
+                    _fsync_path(path)
             if final.exists():
                 shutil.rmtree(final)
             os.replace(staging, final)
+            if durable:
+                _fsync_path(final)
+                _fsync_path(snapshots_root)
             self._wal.truncate_through(position - 1)
             self._prune_checkpoints(snapshots_root)
         return final

@@ -199,10 +199,15 @@ class LSHNeighborSampler(NeighborSampler):
 
     #: Whether this sampler's :meth:`_after_update` consumes the structured
     #: :class:`~repro.engine.dynamic.MutationDelta`.  Samplers with derived
-    #: per-bucket state set this True; for everyone else ``notify_update``
-    #: discards the record unresolved, skipping the per-batch hashing and
-    #: grouping that resolution costs.
+    #: per-bucket state set this True and own the tables' record; everyone
+    #: else skips the per-batch hashing and grouping that resolution costs
+    #: (see :meth:`notify_update`).
     consumes_mutation_deltas: bool = False
+
+    #: Full rebuilds of derived per-bucket state forced by a sync that had
+    #: no usable mutation record (see :meth:`_after_update`).  The serving
+    #: engine mirrors it into ``EngineStats.full_resyncs``.
+    full_resyncs: int = 0
 
     def __init__(
         self,
@@ -296,6 +301,8 @@ class LSHNeighborSampler(NeighborSampler):
             self.ranks = self._perm_rng.permutation(n)
         self.tables.fit(dataset, ranks=self.ranks)
         self._store_dataset(dataset)
+        if self.consumes_mutation_deltas:
+            self.tables.register_delta_consumer(self)
         self._synced_epoch = self.tables.mutation_epoch
         self._after_fit()
         return self
@@ -310,6 +317,10 @@ class LSHNeighborSampler(NeighborSampler):
         container so that points inserted later are visible to the sampler
         without a refit.  The caller is responsible for passing tables whose
         family matches this sampler's.
+
+        A sampler that :attr:`consumes_mutation_deltas` registers itself
+        with the tables as an owner of their mutation record (see
+        :meth:`notify_update`).
         """
         n = len(dataset)
         if n == 0:
@@ -333,12 +344,17 @@ class LSHNeighborSampler(NeighborSampler):
         self.params = self._attached_parameters(n)
         self._store_dataset(dataset)
         # _after_fit rebuilds all derived state from the tables as they are
-        # now: any still-undrained mutation record predates that rebuild, so
-        # it is discarded (unresolved — cheap) and the sampler starts
-        # epoch-aligned instead of paying a second full rebuild on its first
-        # sync.  A previously attached sampler loses the record too, but its
-        # epoch check detects that and falls back to a rebuild of its own.
-        tables.discard_delta()
+        # now: for a consumer, any still-undrained mutation record predates
+        # that rebuild, so it is discarded (unresolved — cheap) and the
+        # sampler starts epoch-aligned instead of paying a second full
+        # rebuild on its first sync.  A previously attached consumer loses
+        # the record too, but its epoch check detects that and falls back to
+        # a rebuild of its own.  A non-consumer leaves a record that an
+        # attached consumer still needs.
+        if self.consumes_mutation_deltas:
+            tables.register_delta_consumer(self)
+        if self.consumes_mutation_deltas or not tables.has_delta_consumers:
+            tables.discard_delta()
         self._synced_epoch = getattr(tables, "mutation_epoch", 0)
         self._after_fit()
         return self
@@ -369,14 +385,17 @@ class LSHNeighborSampler(NeighborSampler):
         deltas report ``None``, which subclasses must treat as "anything may
         have changed" (full rebuild).
 
-        The delta is drained (single-consumer).  Samplers track the table
-        layer's mutation epoch and compare it with the drained record's
-        ``start_epoch``, so a sampler that missed an earlier record (it went
-        to a different consumer — two samplers attached to one table set)
-        detects the gap, receives ``None`` and rebuilds in full instead of
-        silently applying only the tail of the mutation history.  Samplers
-        that declare :attr:`consumes_mutation_deltas` False skip the drain
-        (and its resolution cost) entirely; the record is discarded.
+        The record belongs to the delta consumers attached to the tables.
+        A consumer drains it.  Samplers track the table layer's mutation
+        epoch and compare it with the drained record's ``start_epoch``, so a
+        consumer that missed an earlier record (it went to a second consumer
+        on the same table set) detects the gap, receives ``None`` and
+        rebuilds in full instead of silently applying only the tail of the
+        mutation history.  Samplers that declare
+        :attr:`consumes_mutation_deltas` False skip the drain (and its
+        resolution cost) entirely.  They discard the record only when no
+        consumer is attached, which keeps it bounded; otherwise they leave
+        it for the consumer, whose next sync stays incremental.
         """
         self._check_fitted()
         self.ranks = self.tables.ranks if self._use_ranks else None
@@ -385,6 +404,7 @@ class LSHNeighborSampler(NeighborSampler):
         # (expected far collisions etc.) should describe the latter.
         self.params = self._attached_parameters(max(1, self.tables.num_live))
         epoch = getattr(self.tables, "mutation_epoch", 0)
+        delta = None
         if self.consumes_mutation_deltas:
             delta = self.tables.drain_delta()
             if delta is not None and delta.start_epoch != self._synced_epoch:
@@ -392,9 +412,8 @@ class LSHNeighborSampler(NeighborSampler):
                 # were drained by another consumer; without their record,
                 # only a full rebuild is safe.
                 delta = None
-        else:
+        elif not self.tables.has_delta_consumers:
             self.tables.discard_delta()
-            delta = None
         self._synced_epoch = epoch
         self._after_update(delta)
 

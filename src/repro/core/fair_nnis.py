@@ -186,11 +186,13 @@ class IndependentFairSampler(LSHNeighborSampler):
             or delta.overflowed
             or self.tables.num_points > 4 * getattr(self._sketcher, "universe_size", 0)
         ):
+            self.full_resyncs += 1
             self.tables.ensure_clean_buckets()
             self._after_fit()
             # The rebuild reflects everything up to and including the
             # compaction it just forced — whose sweep record landed in the
-            # tables' fresh delta.  Drop that residue and re-anchor, or the
+            # tables' fresh delta.  This sampler owns that record (it is a
+            # registered consumer): drop the residue and re-anchor, or the
             # next sync would redundantly re-sketch every swept bucket.
             self.tables.discard_delta()
             self._synced_epoch = getattr(self.tables, "mutation_epoch", 0)

@@ -378,6 +378,7 @@ class BatchQueryEngine:
             tables = self.tables
             if isinstance(self.sampler, LSHNeighborSampler):
                 self.sampler.notify_update()
+                self.stats.full_resyncs = self.sampler.full_resyncs
             if isinstance(tables, DynamicLSHTables):
                 self.stats.rebuilds_triggered = tables.rebuilds_triggered
             self._tables_dirty = False

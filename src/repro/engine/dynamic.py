@@ -22,10 +22,13 @@ serving engine can absorb churn without rebuilding the index:
 **Mutation deltas.**  Every mutation is additionally recorded in a
 :class:`MutationDelta` — per table, which bucket keys gained which members,
 which lost which, and which buckets a compaction sweep rewrote.  The
-attached sampler drains the delta through
+record belongs to the attached samplers that consume it (registered with
+:meth:`~repro.lsh.tables.LSHTables.register_delta_consumer`).  A consumer
+drains it through
 :meth:`~repro.core.base.LSHNeighborSampler.notify_update` (the serving
 engine triggers this once per mutation batch) and uses it to maintain
-derived per-bucket state incrementally: the Section 4 sampler merges
+derived per-bucket state incrementally; other samplers sharing the tables
+leave it alone.  The Section 4 sampler merges
 inserted members into the ``L`` affected count-distinct sketches and
 rebuilds only the buckets that saw deletions, turning sketch upkeep from
 ``O(total bucket refs)`` per batch into ``O(batch x L)``.
@@ -80,7 +83,7 @@ class MutationDelta:
     """Structured record of index mutations since the last drain.
 
     :class:`DynamicLSHTables` accumulates one of these across mutation calls
-    and hands it to the attached sampler through
+    and hands it to the attached delta consumer through
     :meth:`~repro.lsh.tables.LSHTables.drain_delta` /
     :meth:`~repro.core.base.LSHNeighborSampler.notify_update`.  Samplers with
     per-bucket derived state (the Section 4 count-distinct sketches) use it
@@ -121,8 +124,10 @@ class MutationDelta:
         The table layer's :attr:`~repro.lsh.tables.LSHTables.mutation_epoch`
         at the moment this record started accumulating.  A consumer whose
         last synchronized epoch differs has a *gap* — some earlier record
-        went to a different consumer — and must rebuild in full rather than
-        apply this delta incrementally.
+        went to a second consumer on the same tables — and must rebuild in
+        full rather than apply this delta incrementally.  Non-consuming
+        samplers never move the start epoch while a consumer is attached:
+        they neither drain nor discard the record then.
     """
 
     inserted: List[int] = field(default_factory=list)
@@ -376,12 +381,14 @@ class DynamicLSHTables(LSHTables):
     def drain_delta(self) -> MutationDelta:
         """Return and reset the mutations accumulated since the last drain.
 
-        The delta is single-consumer: whoever drains it owns the record, and
-        the tables start accumulating a fresh one.  The serving engine drains
-        once per mutation batch through the attached sampler's
+        Only a registered delta consumer should drain: whoever drains takes
+        the record, and the tables start accumulating a fresh one.  The
+        serving engine drains once per mutation batch through the consumer's
         :meth:`~repro.core.base.LSHNeighborSampler.notify_update`, which lets
         the Section 4 sampler fold a batch into only the affected bucket
-        sketches instead of rebuilding all of them.
+        sketches instead of rebuilding all of them.  Samplers without
+        derived per-bucket state never drain; they
+        :meth:`discard_delta` only while no consumer is attached.
         """
         self._resolve_delta()
         delta = self._delta
@@ -392,8 +399,10 @@ class DynamicLSHTables(LSHTables):
         """Drop the unconsumed mutation record without resolving it.
 
         Cheaper than :meth:`drain_delta` — no hashing or grouping happens —
-        for consumers (samplers without derived per-bucket state) that only
-        need the record out of the way so it cannot accumulate unboundedly.
+        for samplers without derived per-bucket state that only need the
+        record out of the way so it cannot accumulate unboundedly.  They call
+        it only while no delta consumer is attached
+        (:attr:`~repro.lsh.tables.LSHTables.has_delta_consumers`).
         """
         self._delta = MutationDelta.empty(self.l, start_epoch=self.mutation_epoch)
         self._unresolved_deletes.clear()

@@ -180,6 +180,13 @@ class EngineStats:
         requests, before any per-query escalation).  Refreshed — overwritten,
         not accumulated — every time a sharded engine reports stats; 0 for
         unsharded engines.
+    full_resyncs:
+        Full rebuilds of the sampler's derived per-bucket state (the
+        Section 4 sketches) forced by a sync without a usable mutation
+        record: a missed or overflowed record, or an index that outgrew the
+        sketch hash range.  Mirrors the sampler's own counter.  It should
+        stay 0 under steady churn; every increment costs a pass over all
+        stored bucket references.
     """
 
     queries_served: int = 0
@@ -203,6 +210,7 @@ class EngineStats:
     store_cache_misses: int = 0
     store_bytes_fetched: int = 0
     prefix_budget: int = 0
+    full_resyncs: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         """The counters as a plain JSON-serializable dict.

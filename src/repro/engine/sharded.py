@@ -492,11 +492,12 @@ class ShardedLSHTables(DynamicLSHTables):
     def _absorb_shard_sweeps(self, shard_index: int) -> None:
         """Fold a shard's compaction record into the global delta.
 
-        Shards accumulate their own :class:`MutationDelta`, but the single
-        consumer contract lives at the global level: per-item members are
-        recorded globally (with global indices), so only the swept bucket
-        keys — which need no translation — are kept; the rest of the shard
-        record is discarded before it can grow or pin memory.
+        Shards accumulate their own :class:`MutationDelta`, but samplers
+        attach — and register as delta consumers — at the global level only:
+        per-item members are recorded globally (with global indices), so
+        only the swept bucket keys — which need no translation — are kept;
+        the rest of the shard record, which no sampler owns, is discarded
+        before it can grow or pin memory.
         """
         shard = self.shards[shard_index]
         delta = shard._delta

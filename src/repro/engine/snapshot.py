@@ -608,6 +608,10 @@ def _load_engine(
 
     sampler = objects["sampler"]
     sampler.tables = tables
+    if getattr(sampler, "consumes_mutation_deltas", False):
+        # Bound without attach(): register here too, so samplers attached to
+        # the restored tables later leave the persisted record to it.
+        tables.register_delta_consumer(sampler)
     sampler._dataset = dataset
     sampler.ranks = tables.ranks if sampler._use_ranks else None
     if prebuilt_store is not None and not hasattr(tables, "point_store"):

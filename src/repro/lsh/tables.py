@@ -21,6 +21,7 @@ constants (see the ablation benchmark).
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -172,6 +173,10 @@ class LSHTables:
         #: consumer that receives an empty delta can tell "nothing changed"
         #: apart from "another consumer drained the record first".
         self.mutation_epoch = 0
+        # Samplers that consume the mutation record (see
+        # register_delta_consumer).  Weak, so a dropped sampler never pins
+        # the tables' record alive; not pickled (see __getstate__).
+        self._delta_consumers: "weakref.WeakSet" = weakref.WeakSet()
         # Primed query-key cache (see prime_key_cache): digest -> per-table keys.
         self._key_cache: Dict[Hashable, List[Hashable]] = {}
         self.key_cache_hits = 0
@@ -303,9 +308,36 @@ class LSHTables:
 
         Static tables record nothing, so this is a no-op; mutable subclasses
         override it.  Samplers that do not consume deltas call this from
-        ``notify_update`` so the record can neither accumulate unboundedly
-        nor charge them for resolution work they would throw away.
+        ``notify_update`` — but only while no delta consumer is attached
+        (:attr:`has_delta_consumers`) — so the record can neither accumulate
+        unboundedly nor charge them for resolution work they would throw
+        away.
         """
+
+    def register_delta_consumer(self, sampler) -> None:
+        """Record that *sampler* drains this table set's mutation record.
+
+        Called when a sampler with
+        :attr:`~repro.core.base.LSHNeighborSampler.consumes_mutation_deltas`
+        binds to these tables (``fit``, ``attach`` or a snapshot restore).
+        The record then belongs to the consumers: other samplers sharing the
+        tables leave it alone instead of discarding it on their own syncs.
+        """
+        self._delta_consumers.add(sampler)
+
+    @property
+    def has_delta_consumers(self) -> bool:
+        """Whether a registered delta consumer is still bound to these tables."""
+        return any(sampler.tables is self for sampler in list(self._delta_consumers))
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_delta_consumers", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._delta_consumers = weakref.WeakSet()
 
     @property
     def ranks(self) -> Optional[np.ndarray]:

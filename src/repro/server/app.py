@@ -178,6 +178,9 @@ class _ServerCore(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Keep-alive responses are written as small header and body segments;
+    # with Nagle on, the second waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     server: _ServerCore
 
     # Quiet by default; FairNNServer(verbose=True) restores stderr logging.

@@ -57,6 +57,9 @@ class _BlockHandler(BaseHTTPRequestHandler):
     """Routes the two block endpoints; everything else is 404."""
 
     server: _BlockServerCore
+    # Header and body go out as separate small writes; without TCP_NODELAY
+    # the body can wait on the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         if self.server.app.verbose:

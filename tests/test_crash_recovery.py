@@ -402,6 +402,47 @@ class TestDurableFacade:
         finally:
             recovered.close()
 
+    @pytest.mark.parametrize("fsync", ["interval", "off"])
+    def test_checkpoint_fsyncs_snapshot_before_truncating_wal(
+        self, fsync, tmp_path, monkeypatch
+    ):
+        """The WAL prefix a checkpoint covers is deleted only after every
+        checkpoint file, the checkpoint directory and ``snapshots/`` reached
+        the disk; with ``fsync="off"`` (as for the WAL) nothing is synced."""
+        from repro.engine.wal import WriteAheadLog
+
+        dataset = _dataset()
+        nn = FairNN.from_spec(_spec()).serve(dataset, data_dir=tmp_path / "d", fsync=fsync)
+        events = []
+        real_fsync = os.fsync
+        real_truncate = WriteAheadLog.truncate_through
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            events.append(("fsync", (stat.st_dev, stat.st_ino)))
+            return real_fsync(fd)
+
+        def recording_truncate(wal, seq):
+            events.append(("truncate", seq))
+            return real_truncate(wal, seq)
+
+        try:
+            nn.insert_many(_dataset(seed=42, n=3))
+            monkeypatch.setattr(os, "fsync", recording_fsync)
+            monkeypatch.setattr(WriteAheadLog, "truncate_through", recording_truncate)
+            final = nn.checkpoint()
+        finally:
+            nn.close()
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("truncate") == 1
+        synced = {key for kind, key in events[: kinds.index("truncate")] if kind == "fsync"}
+        paths = [final, final.parent, *final.rglob("*")]
+        identities = {(p.stat().st_dev, p.stat().st_ino) for p in paths}
+        if fsync == "off":
+            assert not identities & {key for kind, key in events if kind == "fsync"}
+        else:
+            assert identities <= synced
+
     def test_durability_reporting_without_data_dir(self):
         nn = FairNN.from_spec(_spec()).serve(_dataset())
         try:

@@ -460,3 +460,138 @@ class TestMutationDelta:
         drained = tables.drain_delta()
         assert drained is delta
         assert tables.peek_delta().is_empty
+
+
+def _pair_facade(dataset, shards, **serve_kwargs):
+    """A Section 4 consumer ("fair", primary) and a Section 3 non-consumer
+    ("perm") over one dynamic table set — the served two-sampler setup."""
+    from repro import FairNN
+    from repro.spec import EngineSpec, LSHSpec, SamplerSpec
+
+    common = {"radius": 0.5, "far_radius": 0.05, "num_hashes": 1, "num_tables": 8}
+    spec = EngineSpec(
+        samplers={
+            "fair": SamplerSpec(
+                "independent", {**common, "sketch_min_bucket": 4}, lsh=LSHSpec("minhash"), seed=3
+            ),
+            "perm": SamplerSpec("permutation", common, lsh=LSHSpec("minhash"), seed=4),
+        },
+        primary="fair",
+    )
+    return FairNN.from_spec(spec).serve(dataset, shards=shards, **serve_kwargs)
+
+
+def _mutate(nn, rng):
+    """One mutation batch: a few inserts, or a delete of a live slot."""
+    if rng.random() < 0.5:
+        nn.insert_many(random_sets(rng, int(rng.integers(1, 4))))
+    else:
+        nn.delete(int(rng.choice(np.flatnonzero(nn.tables.alive))))
+
+
+def _churn_pair(interleaved, reference, rng, queries, rounds=8):
+    """Mutate both facades alike; only *interleaved* sends a "perm" batch
+    between each mutation and the next "fair" batch.  Returns the fair
+    answers of both."""
+    fair_engine = interleaved.engine("fair")
+    sketcher = fair_engine.sampler._sketcher
+    answers, expected = [], []
+    for _ in range(rounds):
+        state = rng.bit_generator.state
+        _mutate(interleaved, rng)
+        rng.bit_generator.state = state
+        _mutate(reference, rng)
+        interleaved.run(queries, sampler="perm")
+        answers.append([r.indices for r in interleaved.run(queries, sampler="fair")])
+        expected.append([r.indices for r in reference.run(queries, sampler="fair")])
+        # The perm sync left the record to fair: no re-drawn sketcher (the
+        # full-rebuild fallback), and sketches equal a fresh rebuild.
+        assert fair_engine.sampler._sketcher is sketcher
+        assert fair_engine.stats.full_resyncs == 0
+        assert_sketches_match_full_rebuild(fair_engine)
+    return answers, expected
+
+
+class TestSharedTablesDeltaOwnership:
+    """A non-consuming sampler's sync must not discard the record that the
+    Section 4 sampler on the same tables still needs."""
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_perm_sync_between_mutation_and_fair_sync_stays_incremental(self, shards):
+        from repro.engine import ShardedLSHTables
+
+        rng = np.random.default_rng(71)
+        dataset = random_sets(rng, 60)
+        queries = dataset[:6] + random_sets(rng, 2)
+        interleaved = _pair_facade(dataset, shards)
+        reference = _pair_facade(dataset, shards)
+        try:
+            assert isinstance(interleaved.tables, ShardedLSHTables) == (shards == 2)
+            assert interleaved.tables.has_delta_consumers
+            answers, expected = _churn_pair(interleaved, reference, rng, queries)
+            assert answers == expected
+        finally:
+            interleaved.close()
+            reference.close()
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_recovered_facade_registers_restored_consumer(self, shards, tmp_path):
+        """FairNN.recover binds the restored Section 4 sampler to the tables
+        without attach(); it must still own the record, so the perm sampler
+        attached after it (and its syncs) leave the WAL-replay record alone."""
+        import shutil
+
+        from repro import FairNN
+
+        rng = np.random.default_rng(73)
+        dataset = random_sets(rng, 60)
+        queries = dataset[:6] + random_sets(rng, 2)
+        nn = _pair_facade(dataset, shards, data_dir=tmp_path / "a", fsync="off")
+        for _ in range(3):
+            _mutate(nn, rng)
+            nn.run(queries, sampler="perm")
+            nn.run(queries, sampler="fair")
+        nn.checkpoint()
+        for _ in range(3):  # a WAL suffix the recovery replays
+            _mutate(nn, rng)
+        nn.close()
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        interleaved = FairNN.recover(tmp_path / "a")
+        reference = FairNN.recover(tmp_path / "b")
+        try:
+            assert interleaved.tables.has_delta_consumers
+            assert not interleaved.tables.peek_delta().is_empty  # the replay
+            answers, expected = _churn_pair(interleaved, reference, rng, queries)
+            assert answers == expected
+        finally:
+            interleaved.close()
+            reference.close()
+
+    def test_without_consumer_non_consumer_sync_still_discards(self):
+        """With no delta consumer attached the record stays bounded: a
+        non-consumer's sync discards it, unresolved, as before."""
+        from repro.core import PermutationFairSampler
+
+        rng = np.random.default_rng(79)
+        tables = DynamicLSHTables(MinHashFamily(), l=6, seed=81).fit(random_sets(rng, 40))
+        perm = PermutationFairSampler(
+            MinHashFamily(), radius=0.5, far_radius=0.05, num_hashes=1, num_tables=6, seed=83
+        ).attach(tables, tables.dataset)
+        assert not tables.has_delta_consumers
+        tables.insert_many(random_sets(rng, 3))
+        tables.delete(1)
+        perm.notify_update()
+        assert tables.peek_delta().is_empty
+
+    def test_consumer_rebound_elsewhere_no_longer_owns_the_record(self):
+        rng = np.random.default_rng(85)
+        first = DynamicLSHTables(MinHashFamily(), l=6, seed=87).fit(random_sets(rng, 40))
+        second = DynamicLSHTables(MinHashFamily(), l=6, seed=89).fit(random_sets(rng, 40))
+        sampler = IndependentFairSampler(
+            MinHashFamily(), radius=0.5, far_radius=0.05, num_hashes=1,
+            num_tables=6, sketch_min_bucket=4, seed=91,
+        ).attach(first, first.dataset)
+        assert first.has_delta_consumers
+        sampler.attach(second, second.dataset)
+        assert not first.has_delta_consumers
+        assert second.has_delta_consumers

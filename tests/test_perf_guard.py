@@ -304,3 +304,52 @@ class TestShardedMergeCounters:
         sharded = self._sharded(PermutationFairSampler, heavy_workload, seed=29).run(queries)
         assert [r.indices for r in reference] == [r.indices for r in sharded]
         assert [r.stats for r in reference] == [r.stats for r in sharded]
+
+
+class TestSketchResyncCounter:
+    """``full_resyncs`` counts full rebuilds of the Section 4 sketches.
+
+    Served two-sampler setups (``independent`` plus ``permutation`` on one
+    table set) must keep the sketches incremental: a ``permutation`` batch
+    between a mutation and the next ``independent`` batch leaves the
+    mutation record to the sketch owner.  A regression that lets the
+    non-consumer discard it turns every such batch into a pass over all
+    bucket references, and this counter into a nonzero number.
+    """
+
+    def _pair(self, heavy_workload):
+        from repro import FairNN
+
+        common = {"radius": 0.45, "far_radius": 0.2, "num_hashes": 1, "num_tables": 15}
+        spec = {
+            "samplers": {
+                "fair": {"sampler": "independent", "params": common,
+                         "lsh": {"family": "minhash", "params": {}}, "seed": 7},
+                "perm": {"sampler": "permutation", "params": common,
+                         "lsh": {"family": "minhash", "params": {}}, "seed": 8},
+            },
+            "primary": "fair",
+        }
+        return FairNN.from_spec(spec).serve(heavy_workload["dataset"], shards=2)
+
+    def test_two_sampler_churn_keeps_full_resyncs_at_zero(self, heavy_workload):
+        nn = self._pair(heavy_workload)
+        try:
+            queries = heavy_workload["dataset"][:10]
+            for round_index in range(6):
+                if round_index % 2:
+                    nn.delete(round_index)
+                else:
+                    nn.insert_many([frozenset({9000 + round_index, 9100, 9200})])
+                nn.run(queries, sampler="perm")
+                nn.run(queries, sampler="fair")
+                assert nn.engine("fair").stats_dict()["counters"]["full_resyncs"] == 0
+            assert nn.engine("perm").stats_dict()["counters"]["full_resyncs"] == 0
+            # The counter does count: a record taken by someone else leaves
+            # the sketch owner an epoch gap, which forces one full rebuild.
+            nn.insert_many([frozenset({9300, 9301})])
+            nn.tables.drain_delta()
+            nn.run(queries, sampler="fair")
+            assert nn.engine("fair").stats_dict()["counters"]["full_resyncs"] == 1
+        finally:
+            nn.close()

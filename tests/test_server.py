@@ -370,6 +370,48 @@ class TestErrorMapping:
             FairNNServer(FairNN.from_spec(PERMUTATION_SPEC))
 
 
+class TestKeepAlive:
+    def test_two_requests_share_one_connection_with_nodelay(
+        self, serving_server, small_set_dataset, monkeypatch
+    ):
+        """Keep-alive connections carry several requests; the accepted
+        socket has TCP_NODELAY set so a response is not held back waiting
+        for the client's delayed ACK (Nagle)."""
+        import http.client
+        import socket
+
+        from repro.server import app as app_module
+
+        nodelay = []
+        original_setup = app_module._Handler.setup
+
+        def recording_setup(handler):
+            original_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(app_module._Handler, "setup", recording_setup)
+        server, _ = serving_server
+        dataset = list(small_set_dataset)
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            for query in dataset[:2]:
+                body = json.dumps({"query": encode_point(query)})
+                connection.request(
+                    "POST", "/v1/sample", body, {"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                payload = json.loads(response.read())
+                expected = server.nn.run([QueryRequest(query=query)])[0]
+                assert payload["indices"] == expected.indices
+        finally:
+            connection.close()
+        assert len(nodelay) == 1  # both requests rode one accepted socket
+        assert nodelay[0] != 0
+
+
 # ----------------------------------------------------------------------
 # Stats endpoint
 # ----------------------------------------------------------------------

@@ -410,3 +410,73 @@ class TestShardedSpecAndFacade:
         np.testing.assert_array_equal(engine.tables.shard_of, clone.tables.shard_of)
         queries = list(small_set_dataset[10:30])
         _assert_identical(engine.run(queries), clone.run(queries))
+
+
+class TestConcurrentReadsAndMutations:
+    def test_reads_racing_mutations_on_two_shards_stay_valid(self):
+        """Reads to both samplers race inserts and deletes on a 2-shard
+        facade: the facade's readers-writer lock keeps every read off the
+        tables while a mutation changes them, so no read raises and every
+        answer is a near point of its query."""
+        import sys
+        import threading
+
+        rng = np.random.default_rng(97)
+        dataset, queries, inserts, _ = _workload(rng, n=120)
+        spec = EngineSpec(
+            samplers={
+                "fair": SamplerSpec("independent", SET_PARAMS, lsh=LSHSpec("minhash"), seed=5),
+                "perm": SamplerSpec("permutation", SET_PARAMS, lsh=LSHSpec("minhash"), seed=6),
+            },
+            primary="fair",
+        )
+        nn = FairNN.from_spec(spec).serve(dataset, shards=2)
+        # Every point ever indexed, by slot (compaction releases dead slots'
+        # point objects inside the index, not here).
+        pool = [inserts[j % len(inserts)] for j in range(150)]
+        points = list(dataset) + pool
+        measure = nn.samplers["fair"].measure
+        errors, answers = [], []
+        stop = threading.Event()
+
+        def read(name):
+            try:
+                while not stop.is_set():
+                    answers.append(nn.run(queries[:8], sampler=name))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def mutate():
+            try:
+                for point in pool:
+                    nn.insert_many([point])
+                    nn.delete(int(rng.choice(np.flatnonzero(nn.tables.alive))))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=read, args=(name,)) for name in ("fair", "perm", "fair")]
+        threads.append(threading.Thread(target=mutate))
+        # Switch threads often, so reads land inside mutations.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert answers
+            for batch in answers:
+                assert len(batch) == 8
+                for query, response in zip(queries, batch):
+                    for index in response.indices:
+                        assert 0 <= index < len(points)
+                        value = measure.values_to_query([points[index]], query)
+                        assert measure.within_mask(value, SET_PARAMS["radius"]).all()
+        finally:
+            sys.setswitchinterval(switch_interval)
+            stop.set()
+            nn.close()

@@ -17,9 +17,11 @@ Four guarantees are pinned down here:
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -63,6 +65,10 @@ CANONICAL_SPECS = {
 
 
 def _concrete_subclasses(base):
+    # Classes that tests define locally stay in __subclasses__() until the
+    # cyclic garbage collector frees them; only the classes that still exist
+    # are checked.
+    gc.collect()
     seen = set()
     stack = list(base.__subclasses__())
     while stack:
@@ -630,6 +636,21 @@ class TestApiSurface:
             text=True,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_package_version_has_one_source(self):
+        """pyproject.toml reads the version from ``repro.__version__``
+        instead of repeating it (regex-parsed: Python 3.10 has no tomllib)."""
+        text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.S | re.M).group(1)
+        assert re.search(r'^dynamic\s*=\s*\[[^\]]*"version"', project, re.M)
+        assert not re.search(r"^version\s*=", project, re.M)
+        dynamic = re.search(
+            r"^\[tool\.setuptools\.dynamic\]\n(.*?)(?=^\[|\Z)", text, re.S | re.M
+        ).group(1)
+        assert re.search(
+            r'^version\s*=\s*\{\s*attr\s*=\s*"repro\.__version__"\s*\}', dynamic, re.M
+        )
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
 
     def test_all_exports_resolve_and_hide_privates(self):
         for name in repro.__all__:
